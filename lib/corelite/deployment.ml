@@ -88,9 +88,8 @@ let of_table ?fault ~params ~rng ~topology ~agents ~core_links () =
                 Option.value ~default:0.
                   (Hashtbl.find_opt delays (link.Net.Link.id, flow_id))
               in
-              ignore
-                (Sim.Engine.schedule engine ~delay (fun () ->
-                     Edge.receive_feedback agent ~link_id:link.Net.Link.id marker))
+              Sim.Engine.schedule_unit engine ~delay (fun () ->
+                  Edge.receive_feedback agent ~link_id:link.Net.Link.id marker)
         in
         Core.attach ~params ~rng:(Sim.Rng.split rng) ~send_feedback link)
       core_links

@@ -94,8 +94,7 @@ let build ?(attach_cores = true) ~params ~rng ~topology ~flows ~core_links () =
                   Option.value ~default:0.
                     (Hashtbl.find_opt delays (link.Net.Link.id, flow))
                 in
-                ignore
-                  (Sim.Engine.schedule engine ~delay (fun () -> Edge.note_loss agent)));
+                Sim.Engine.schedule_unit engine ~delay (fun () -> Edge.note_loss agent));
         core)
       core_links
   in

@@ -24,12 +24,17 @@ let paths_from topology ~src =
   let dist : (int, float * int) Hashtbl.t = Hashtbl.create 32 in
   let pred : (int, Node.t) Hashtbl.t = Hashtbl.create 32 in
   let visited : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  (* The event queue doubles as a priority queue: key = delay, and the
-     FIFO tie-break on [seq] = hops gives the lexicographic order. *)
+  (* The event queue doubles as a priority queue: key = delay, and
+     seq = hops * stride + push count orders equal delays by hops. Each
+     relaxation pushes at most once per link, so the push count stays
+     below [stride] and every seq is unique, as the queue requires. *)
   let frontier = Sim.Event_queue.create () in
+  let stride = List.length (Topology.links topology) + 1 in
+  let pushes = ref 0 in
   let push node (delay, hops) =
     Hashtbl.replace dist node.Node.id (delay, hops);
-    Sim.Event_queue.add frontier ~key:delay ~seq:hops node
+    Sim.Event_queue.add frontier ~key:delay ~seq:((hops * stride) + !pushes) node;
+    incr pushes
   in
   push src (0., 0);
   let rec settle () =
@@ -42,15 +47,17 @@ let paths_from topology ~src =
         List.iter
           (fun (next, link_delay) ->
             let candidate = (delay +. link_delay, hops + 1) in
-            let better =
+            if not (Hashtbl.mem visited next.Node.id) then
               match Hashtbl.find_opt dist next.Node.id with
-              | None -> true
-              | Some current -> candidate < current
-            in
-            if better && not (Hashtbl.mem visited next.Node.id) then begin
-              Hashtbl.replace pred next.Node.id node;
-              push next candidate
-            end)
+              | Some current when candidate > current -> ()
+              | Some current when candidate = current ->
+                (* Equal cost: the lowest-id predecessor wins, whatever
+                   order equal-cost entries leave the queue in. *)
+                if node.Node.id < (Hashtbl.find pred next.Node.id).Node.id then
+                  Hashtbl.replace pred next.Node.id node
+              | Some _ | None ->
+                Hashtbl.replace pred next.Node.id node;
+                push next candidate)
           (Option.value ~default:[] (Hashtbl.find_opt adj node.Node.id))
       end;
       settle ()

@@ -1,15 +1,19 @@
-(** Binary min-heap of timestamped entries.
+(** Four-ary min-heap of timestamped entries.
 
     Entries are ordered by [key] (simulation time) and, for equal keys,
-    by [seq] (insertion order), so simultaneous events fire in FIFO
-    order.
+    by [seq]. Seq values must be unique: the engine numbers events in
+    scheduling order, so simultaneous events fire in FIFO order. With
+    unique seqs the [(key, seq)] order is total, and the pop sequence
+    depends on that order alone, never on the heap's internal layout.
 
     Two access styles coexist: the boxed {!pop}/{!peek_key} return
     options (convenient in tests and cold paths), while the unboxed
     {!next_time}/{!pop_exn} pair serves the engine's hot loop without
-    allocating — internally the heap stores keys in a flat [float
-    array] alongside parallel seq/payload arrays, so neither style
-    allocates per entry beyond the payload itself. *)
+    allocating. Internally the heap sifts only unboxed data (a [float]
+    key, an [int] seq and an [int] payload slot per entry); each payload
+    is stored once, in a stable slot, when it is added. The sifts
+    therefore never store a pointer, and a push or pop crosses OCaml's
+    write barrier at most once. *)
 
 type 'a t
 
@@ -17,14 +21,17 @@ val create : unit -> 'a t
 
 (** [clear q] empties the queue and releases its storage, returning it
     to the freshly-created state (used when an engine is reset between
-    pooled scenario runs). *)
+    pooled scenario runs). Popped payloads stay reachable from their
+    freed slots until the slot is reused or the queue is cleared, so at
+    most one array's worth of stale payloads is ever pinned. *)
 val clear : 'a t -> unit
 
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** [add q ~key ~seq v] inserts [v] with priority [(key, seq)].
+(** [add q ~key ~seq v] inserts [v] with priority [(key, seq)]. [seq]
+    must differ from the seq of every entry in the queue.
     Allocation-free except when the backing arrays double. *)
 val add : 'a t -> key:float -> seq:int -> 'a -> unit
 

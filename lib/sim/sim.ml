@@ -18,7 +18,7 @@
       Sim.Engine.run_until engine 100.
     ]} *)
 
-(** Binary min-heap of timestamped entries (also usable as a plain
+(** Four-ary min-heap of timestamped entries (also usable as a plain
     priority queue, e.g. inside Dijkstra). *)
 module Event_queue = Event_queue
 

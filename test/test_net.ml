@@ -773,6 +773,32 @@ let test_routing_hop_tiebreak () =
   Alcotest.(check string) "direct link wins the tie" "a-c"
     (path_names (Net.Routing.shortest_path topology ~src:a ~dst:c))
 
+let test_routing_equal_cost_tiebreak () =
+  (* Two paths tie on (delay, hops). The predecessor with the lower node
+     id wins, whatever order the links were added in, so the choice does
+     not depend on adjacency order or on how the queue orders ties. *)
+  let route ~b_first =
+    let engine = Sim.Engine.create () in
+    let topology = Net.Topology.create engine in
+    let n name = Net.Topology.add_node topology ~kind:Net.Node.Core name in
+    let a = n "a" and b = n "b" and c = n "c" and d = n "d" in
+    let link ~src ~dst =
+      ignore
+        (Net.Topology.add_link topology ~src ~dst ~bandwidth:1e6 ~delay:0.010
+           ~qdisc:(Net.Qdisc.droptail ~capacity:10))
+    in
+    let via first second =
+      link ~src:a ~dst:first;
+      link ~src:a ~dst:second;
+      link ~src:first ~dst:d;
+      link ~src:second ~dst:d
+    in
+    if b_first then via b c else via c b;
+    path_names (Net.Routing.shortest_path topology ~src:a ~dst:d)
+  in
+  Alcotest.(check string) "b added first" "a-b-d" (route ~b_first:true);
+  Alcotest.(check string) "c added first" "a-b-d" (route ~b_first:false)
+
 let test_routing_paths_from_consistent () =
   let topology, a, b, c, d = diamond () in
   let route = Net.Routing.paths_from topology ~src:a in
@@ -1193,6 +1219,8 @@ let () =
           Alcotest.test_case "trivial and unreachable" `Quick
             test_routing_trivial_and_unreachable;
           Alcotest.test_case "hop tiebreak" `Quick test_routing_hop_tiebreak;
+          Alcotest.test_case "equal-cost tiebreak" `Quick
+            test_routing_equal_cost_tiebreak;
           Alcotest.test_case "paths_from consistent" `Quick
             test_routing_paths_from_consistent;
         ] );

@@ -209,6 +209,120 @@ let prop_queue_unboxed_agrees_with_boxed =
       in
       boxed = unboxed)
 
+(* Interleaved add / pop_exn / next_time / clear against a (key, seq)
+   ordered set. Bursts push the queue past its doubling points (64, 128,
+   256, ...) and drains pull it back, so freed payload slots are reused
+   under every capacity, including after a clear. The payload is the
+   entry's own seq: a slot handed to two live entries, or read after it
+   was freed, shows up as a wrong payload. *)
+module Model = Set.Make (struct
+  type t = float * int
+
+  let compare = by_key_seq
+end)
+
+type queue_op = Add of int | Burst of int | Pop | Drain of int | Clear
+
+let show_queue_op = function
+  | Add k -> Printf.sprintf "Add %d" k
+  | Burst n -> Printf.sprintf "Burst %d" n
+  | Pop -> "Pop"
+  | Drain n -> Printf.sprintf "Drain %d" n
+  | Clear -> "Clear"
+
+let queue_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> Add k) (int_bound 30));
+        (2, map (fun n -> Burst n) (30 -- 300));
+        (6, return Pop);
+        (2, map (fun n -> Drain n) (30 -- 300));
+        (1, return Clear);
+      ])
+
+let prop_queue_interleaved_matches_model =
+  QCheck.Test.make
+    ~name:"add/pop_exn/next_time/clear across growth match the sorted model"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list show_queue_op)
+       QCheck.Gen.(list_size (1 -- 60) queue_op_gen))
+    (fun ops ->
+      let q = Sim.Event_queue.create () in
+      let model = ref Model.empty in
+      let seq = ref 0 in
+      let ok = ref true in
+      let add k =
+        incr seq;
+        (* Keys repeat often, so the seq tie-break is exercised. *)
+        let key = float_of_int (k mod 31) in
+        Sim.Event_queue.add q ~key ~seq:!seq !seq;
+        model := Model.add (key, !seq) !model
+      in
+      let pop () =
+        match Model.min_elt_opt !model with
+        | None -> if not (Sim.Event_queue.is_empty q) then ok := false
+        | Some ((key, s) as e) ->
+          if Sim.Event_queue.next_time q <> key then ok := false;
+          if Sim.Event_queue.pop_exn q <> s then ok := false;
+          model := Model.remove e !model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add k -> add k
+          | Burst n ->
+            for i = 1 to n do
+              add ((i * 17) + !seq)
+            done
+          | Pop -> pop ()
+          | Drain n ->
+            for _ = 1 to n do
+              pop ()
+            done
+          | Clear ->
+            Sim.Event_queue.clear q;
+            model := Model.empty);
+          if Sim.Event_queue.length q <> Model.cardinal !model then ok := false;
+          let expected_next =
+            match Model.min_elt_opt !model with Some (k, _) -> k | None -> infinity
+          in
+          if Sim.Event_queue.next_time q <> expected_next then ok := false)
+        ops;
+      while not (Model.is_empty !model) do
+        pop ()
+      done;
+      !ok && Sim.Event_queue.is_empty q)
+
+(* [clear] releases every payload: queued and already-popped ones alike
+   become collectable. Payloads are made inside [fill] so that no local
+   of the test keeps one alive. *)
+let test_queue_clear_releases_payloads () =
+  let n = 200 in
+  let q = Sim.Event_queue.create () in
+  let weak = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set weak i (Some payload);
+      Sim.Event_queue.add q ~key:(float_of_int i) ~seq:i payload
+    done;
+    for _ = 1 to n / 2 do
+      ignore (Sim.Event_queue.pop_exn q)
+    done
+  in
+  fill ();
+  let alive () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check weak) (List.init n Fun.id))
+  in
+  Alcotest.(check bool) "queued payloads stay alive" true (alive () >= n / 2);
+  Sim.Event_queue.clear q;
+  Alcotest.(check int) "nothing pinned after clear" 0 (alive ());
+  Sim.Event_queue.add q ~key:1. ~seq:1 (ref 7);
+  Alcotest.(check int) "usable after clear" 7 !(Sim.Event_queue.pop_exn q)
+
 (* ------------------------------------------------------------------ *)
 (* Ring *)
 
@@ -1167,6 +1281,9 @@ let () =
           qt prop_queue_length_tracks_model;
           Alcotest.test_case "unboxed api" `Quick test_queue_unboxed_api;
           qt prop_queue_unboxed_agrees_with_boxed;
+          qt prop_queue_interleaved_matches_model;
+          Alcotest.test_case "clear releases payloads" `Quick
+            test_queue_clear_releases_payloads;
         ] );
       ( "ring",
         [
