@@ -53,3 +53,7 @@ module Probe = Probe
 (** Dense flow-id-indexed tables: the flat-array replacement for
     per-flow Hashtbls on deployment control paths. *)
 module Flowtable = Flowtable
+
+(** One generic deployment (edge agents, flow lifecycle, core-link
+    wiring) over a scheme's edge and core logic. *)
+module Deployment = Deployment

@@ -7,9 +7,7 @@
    the same pipeline is the baseline the robustness gates normalize
    against. *)
 
-type scheme = Corelite | Csfq | Drr
-
-let scheme_name = function Corelite -> "corelite" | Csfq -> "csfq" | Drr -> "drr"
+type scheme = Scale.scheme = Corelite | Csfq | Drr
 
 type variant = Static | Dynamic | Adversarial | Faulty
 
@@ -70,7 +68,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   let from = duration /. 4. in
   let window = 4. in
   let label =
-    Printf.sprintf "churn/%s/%s%s" (scheme_name scheme) (variant_name variant)
+    Printf.sprintf "churn/%s/%s%s" (Scale.scheme_name scheme) (variant_name variant)
       (if quick then "/quick" else "")
   in
   let engine =
@@ -152,58 +150,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   let injector =
     Option.map (Net.Fault.apply ~topology:network.Network.topology) fault_plan
   in
-  (* Scheme-independent dynamic-lifecycle driver. *)
   let deploy_rng = Sim.Rng.scenario ~seed ~id:(label ^ "/deploy") in
-  let module H = struct
-    type handle = {
-      h_sent : unit -> int;
-      h_delivered : unit -> int;
-      h_backlog : bool -> unit;
-    }
-  end in
-  let open H in
-  let add, finish, expire, has, live =
-    match scheme with
-    | Corelite ->
-      let d =
-        Corelite.Deployment.build ?fault:injector ~params:Chaos.recovery_params
-          ~rng:deploy_rng ~topology:network.Network.topology ~flows:[]
-          ~core_links:network.Network.core_links ()
-      in
-      ( (fun ~size flow ->
-          let a = Corelite.Deployment.add_flow d ~size flow in
-          {
-            h_sent = (fun () -> Corelite.Edge.sent a);
-            h_delivered = (fun () -> Corelite.Edge.delivered a);
-            h_backlog = Corelite.Edge.set_backlogged a;
-          }),
-        Corelite.Deployment.end_flow d,
-        (fun () -> Corelite.Deployment.expire_idle d ~timeout:expiry_timeout),
-        Corelite.Deployment.has_flow d,
-        fun () -> Corelite.Deployment.live_flows d )
-    | Csfq | Drr ->
-      let attach_cores = match scheme with Csfq -> true | _ -> false in
-      let d =
-        Csfq.Deployment.build ~attach_cores ~params:Csfq.Params.default
-          ~rng:deploy_rng ~topology:network.Network.topology ~flows:[]
-          ~core_links:network.Network.core_links ()
-      in
-      ( (fun ~size flow ->
-          let a = Csfq.Deployment.add_flow d ~size flow in
-          {
-            h_sent = (fun () -> Csfq.Edge.sent a);
-            h_delivered = (fun () -> Csfq.Edge.delivered a);
-            h_backlog = Csfq.Edge.set_backlogged a;
-          }),
-        Csfq.Deployment.end_flow d,
-        (fun () -> Csfq.Deployment.expire_idle d ~timeout:expiry_timeout),
-        Csfq.Deployment.has_flow d,
-        fun () -> Csfq.Deployment.live_flows d )
-  in
-  (* Per-flow bookkeeping the lifecycle events maintain. *)
-  let handles : (int, handle) Hashtbl.t = Hashtbl.create 64 in
-  let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let onoffs : (int, Net.Onoff.t) Hashtbl.t = Hashtbl.create 16 in
   let cumulative =
     List.map
       (fun f ->
@@ -216,114 +163,138 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   let arrivals_seen = ref 0 in
   let completed = ref 0 in
   let expired = ref 0 in
-  let stop_onoff id =
-    match Hashtbl.find_opt onoffs id with
-    | Some o ->
-      Net.Onoff.stop o;
-      Hashtbl.remove onoffs id
-    | None -> ()
-  in
-  List.iter
-    (fun f ->
-      let id = f.Arrivals.id in
-      ignore
-        (Sim.Engine.schedule_at engine ~time:f.Arrivals.arrival (fun () ->
-             let flow = Network.flow network id in
-             let h = add ~size:f.Arrivals.size flow in
-             Hashtbl.replace handles id h;
-             if f.Arrivals.size > 0 then Hashtbl.replace sizes id f.Arrivals.size;
-             incr arrivals_seen;
-             match f.Arrivals.kind with
-             | Arrivals.Elastic -> ()
-             | Arrivals.Onoff { on_mean; off_mean; shape } ->
-               let rng =
-                 Sim.Rng.scenario ~seed ~id:(Printf.sprintf "%s/onoff/%d" label id)
-               in
-               Hashtbl.replace onoffs id
-                 (Net.Onoff.start ~engine ~rng ~distribution:(Net.Onoff.Pareto shape)
-                    ~on_mean ~off_mean h.h_backlog))))
-    honest;
-  (* Completion poll: a sized flow ends when it has sent its size. The
-     sweep runs in flow-id order so lifecycle trace events are ordered
-     identically on every replay. *)
-  let poll () =
-    let due =
-      Hashtbl.fold
-        (fun id size acc ->
-          if not (has id) then `Gone id :: acc
-          else
-            match Hashtbl.find_opt handles id with
-            | Some h when h.h_sent () >= size -> `Done id :: acc
-            | Some _ | None -> acc)
-        sizes []
-      |> List.sort (fun a b ->
-             let id = function `Gone id | `Done id -> id in
-             compare (id a) (id b))
+  let adversary_cumulative = Sim.Timeseries.create ~name:"churn-adversary" () in
+  (* The lifecycle run is the same for every scheme: the deployment is
+     driven through the shared signature. Returns the flows still
+     holding edge state after the drain. *)
+  let play (type d) (module D : Net.Deployment.S with type t = d) (d : d) =
+    (* Per-flow bookkeeping the lifecycle events maintain. *)
+    let handles : (int, D.Edge.t) Hashtbl.t = Hashtbl.create 64 in
+    let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let onoffs : (int, Net.Onoff.t) Hashtbl.t = Hashtbl.create 16 in
+    let stop_onoff id =
+      match Hashtbl.find_opt onoffs id with
+      | Some o ->
+        Net.Onoff.stop o;
+        Hashtbl.remove onoffs id
+      | None -> ()
     in
     List.iter
-      (fun d ->
-        match d with
-        | `Done id ->
-          finish id;
-          incr completed;
-          stop_onoff id;
-          Hashtbl.remove sizes id
-        | `Gone id ->
-          (* expired by the soft-state sweep before completing *)
-          stop_onoff id;
-          Hashtbl.remove sizes id)
-      due
-  in
-  ignore (Sim.Engine.every engine ~start:poll_period ~period:poll_period poll);
-  (* Soft-state expiry sweep: idle edge state ages out. *)
-  ignore
-    (Sim.Engine.every engine ~start:expiry_period ~period:expiry_period (fun () ->
-         expired := !expired + expire ()));
-  (* Cumulative delivered samples feed the windowed fairness metrics.
-     Handles outlive retirement, so an ended flow's series goes flat
-     instead of vanishing. *)
-  let adversary_cumulative = Sim.Timeseries.create ~name:"churn-adversary" () in
-  let adversary =
-    if with_adversary then begin
-      let total_weight =
-        List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. specs
+      (fun f ->
+        let id = f.Arrivals.id in
+        ignore
+          (Sim.Engine.schedule_at engine ~time:f.Arrivals.arrival (fun () ->
+               let flow = Network.flow network id in
+               let agent = D.add_flow d ~size:f.Arrivals.size flow in
+               Hashtbl.replace handles id agent;
+               if f.Arrivals.size > 0 then Hashtbl.replace sizes id f.Arrivals.size;
+               incr arrivals_seen;
+               match f.Arrivals.kind with
+               | Arrivals.Elastic -> ()
+               | Arrivals.Onoff { on_mean; off_mean; shape } ->
+                 let rng =
+                   Sim.Rng.scenario ~seed ~id:(Printf.sprintf "%s/onoff/%d" label id)
+                 in
+                 Hashtbl.replace onoffs id
+                   (Net.Onoff.start ~engine ~rng ~distribution:(Net.Onoff.Pareto shape)
+                      ~on_mean ~off_mean (D.Edge.set_backlogged agent)))))
+      honest;
+    (* Completion poll: a sized flow ends when it has sent its size. The
+       sweep runs in flow-id order so lifecycle trace events are ordered
+       identically on every replay. *)
+    let poll () =
+      let due =
+        Hashtbl.fold
+          (fun id size acc ->
+            if not (D.has_flow d id) then `Gone id :: acc
+            else
+              match Hashtbl.find_opt handles id with
+              | Some agent when D.Edge.sent agent >= size -> `Done id :: acc
+              | Some _ | None -> acc)
+          sizes []
+        |> List.sort (fun a b ->
+               let id = function `Gone id | `Done id -> id in
+               compare (id a) (id b))
       in
-      let fair_share = capacity_pps /. total_weight in
-      (* Burst at 4x the fair share, average at 0.8x: under any
-         long-timescale detection threshold set at the share. *)
-      Some
-        (Adversary.attach ~network ~flow:adversary_id ~peak:(4. *. fair_share)
-           ~duty:0.2 ~period:2.
-           ~corelite_markers:(match scheme with Corelite -> true | _ -> false)
-           ())
-    end
-    else None
-  in
-  let sample () =
-    let now = Sim.Engine.now engine in
+      List.iter
+        (function
+          | `Done id ->
+            D.end_flow d id;
+            incr completed;
+            stop_onoff id;
+            Hashtbl.remove sizes id
+          | `Gone id ->
+            (* expired by the soft-state sweep before completing *)
+            stop_onoff id;
+            Hashtbl.remove sizes id)
+        due
+    in
+    ignore (Sim.Engine.every engine ~start:poll_period ~period:poll_period poll);
+    (* Soft-state expiry sweep: idle edge state ages out. *)
+    ignore
+      (Sim.Engine.every engine ~start:expiry_period ~period:expiry_period (fun () ->
+           expired := !expired + D.expire_idle d ~timeout:expiry_timeout));
+    (* Cumulative delivered samples feed the windowed fairness metrics.
+       Handles outlive retirement, so an ended flow's series goes flat
+       instead of vanishing. *)
+    let adversary =
+      if with_adversary then begin
+        let total_weight =
+          List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. specs
+        in
+        let fair_share = capacity_pps /. total_weight in
+        (* Burst at 4x the fair share, average at 0.8x: under any
+           long-timescale detection threshold set at the share. *)
+        Some
+          (Adversary.attach ~network ~flow:adversary_id ~peak:(4. *. fair_share)
+             ~duty:0.2 ~period:2.
+             ~corelite_markers:(match scheme with Corelite -> true | _ -> false)
+             ())
+      end
+      else None
+    in
+    let sample () =
+      let now = Sim.Engine.now engine in
+      List.iter
+        (fun (id, _, ts) ->
+          match Hashtbl.find_opt handles id with
+          | Some agent ->
+            Sim.Timeseries.add ts now (float_of_int (D.Edge.delivered agent))
+          | None -> ())
+        cumulative;
+      match adversary with
+      | Some adv ->
+        Sim.Timeseries.add adversary_cumulative now
+          (float_of_int (Adversary.delivered adv))
+      | None -> ()
+    in
+    ignore (Sim.Engine.every engine ~start:sample_period ~period:sample_period sample);
+    Sim.Engine.run_until engine duration;
+    (* Drain: every flow still holding edge state is ended explicitly, so
+       a leak-free run finishes with an empty table — [leaked] is what
+       remains and the ledger oracle pins it to zero. *)
+    Option.iter Adversary.stop adversary;
     List.iter
-      (fun (id, _, ts) ->
-        match Hashtbl.find_opt handles id with
-        | Some h -> Sim.Timeseries.add ts now (float_of_int (h.h_delivered ()))
-        | None -> ())
-      cumulative;
-    match adversary with
-    | Some adv ->
-      Sim.Timeseries.add adversary_cumulative now
-        (float_of_int (Adversary.delivered adv))
-    | None -> ()
+      (fun (id, _, _) -> if D.has_flow d id then D.end_flow d id)
+      (List.sort (fun (a, _, _) (b, _, _) -> compare a b) cumulative);
+    Hashtbl.iter (fun _ o -> Net.Onoff.stop o) onoffs;
+    D.live_flows d
   in
-  ignore (Sim.Engine.every engine ~start:sample_period ~period:sample_period sample);
-  Sim.Engine.run_until engine duration;
-  (* Drain: every flow still holding edge state is ended explicitly, so
-     a leak-free run finishes with an empty table — [leaked] is what
-     remains and the ledger oracle pins it to zero. *)
-  Option.iter Adversary.stop adversary;
-  List.iter
-    (fun (id, _, _) -> if has id then finish id)
-    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) cumulative);
-  Hashtbl.iter (fun _ o -> Net.Onoff.stop o) onoffs;
-  let leaked = live () in
+  let leaked =
+    match scheme with
+    | Corelite ->
+      play (module Corelite.Deployment)
+        (Corelite.Deployment.build ?fault:injector ~params:Chaos.recovery_params
+           ~rng:deploy_rng ~topology:network.Network.topology ~flows:[]
+           ~core_links:network.Network.core_links ())
+    | Csfq | Drr ->
+      play (module Csfq.Deployment)
+        (Csfq.Deployment.build
+           ~attach_cores:(match scheme with Csfq -> true | Corelite | Drr -> false)
+           ~params:Csfq.Params.default ~rng:deploy_rng
+           ~topology:network.Network.topology ~flows:[]
+           ~core_links:network.Network.core_links ())
+  in
   let span = duration -. from in
   let delivered_in_window ts =
     Option.value ~default:0. (Sim.Timeseries.value_at ts duration)
@@ -352,7 +323,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
   in
   {
     label;
-    scheme = scheme_name scheme;
+    scheme = Scale.scheme_name scheme;
     variant = variant_name variant;
     arrivals = !arrivals_seen;
     completed = !completed;
@@ -371,7 +342,7 @@ let run_point ?engine ?(seed = 42) ?(quick = false)
 
 let point_job ?seed ?quick ?fault_seed ~scheme ~variant () =
   let label =
-    Printf.sprintf "churn/%s/%s" (scheme_name scheme) (variant_name variant)
+    Printf.sprintf "churn/%s/%s" (Scale.scheme_name scheme) (variant_name variant)
   in
   Pool.job ~id:label (fun () -> run_point ?seed ?quick ?fault_seed ~scheme ~variant ())
 
@@ -382,35 +353,15 @@ let schemes = [ Corelite; Csfq; Drr ]
 let jobs ?seed ?quick ?fault_seed () =
   List.map
     (fun scheme ->
-      ( scheme_name scheme,
+      ( Scale.scheme_name scheme,
         List.map (fun variant -> point_job ?seed ?quick ?fault_seed ~scheme ~variant ()) variants
       ))
     schemes
 
-let force js = List.map (fun j -> j.Pool.run ()) js
-
-let all ?seed ?quick ?fault_seed () =
-  List.map (fun (name, js) -> (name, force js)) (jobs ?seed ?quick ?fault_seed ())
+let all ?seed ?quick ?fault_seed () = Pool.run_groups (jobs ?seed ?quick ?fault_seed ())
 
 let all_parallel ?domains ?seed ?quick ?fault_seed () =
-  (* Flat batch re-chunked in submission order, as in Chaos. *)
-  let groups = jobs ?seed ?quick ?fault_seed () in
-  let flat = List.concat_map snd groups in
-  let results = ref (Pool.map ?domains flat) in
-  List.map
-    (fun (name, js) ->
-      let k = List.length js in
-      let rec take n acc rest =
-        if n = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> invalid_arg "Churn.all_parallel: result count mismatch"
-          | r :: rest -> take (n - 1) (r :: acc) rest
-      in
-      let points, rest = take k [] !results in
-      results := rest;
-      (name, points))
-    groups
+  Pool.map_groups ?domains (jobs ?seed ?quick ?fault_seed ())
 
 let csv_of_points points =
   let buf = Buffer.create 1024 in

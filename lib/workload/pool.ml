@@ -57,6 +57,23 @@ let map ?domains jobs =
                   jobs.(i).id))
   end
 
+let run_groups groups = List.map (fun (name, jobs) -> (name, run_serial jobs)) groups
+
+(* One flat batch, so workers steal across group boundaries, re-chunked
+   into the groups in submission order. *)
+let map_groups ?domains groups =
+  let split results (name, jobs) =
+    let rec take n acc rest =
+      if n = 0 then (rest, (name, List.rev acc))
+      else
+        match rest with
+        | r :: rest -> take (n - 1) (r :: acc) rest
+        | [] -> invalid_arg "Pool.map_groups: result count mismatch"
+    in
+    take (List.length jobs) [] results
+  in
+  snd (List.fold_left_map split (map ?domains (List.concat_map snd groups)) groups)
+
 type 'a scenario = {
   label : string;
   scenario : engine:Sim.Engine.t -> rng:Sim.Rng.t -> 'a;

@@ -52,6 +52,15 @@ val default_domains : unit -> int
     leaked. *)
 val map : ?domains:int -> 'a job list -> 'a list
 
+(** [run_groups groups] runs every group's jobs serially, in order. *)
+val run_groups : (string * 'a job list) list -> (string * 'a list) list
+
+(** [map_groups ~domains groups] is observationally [run_groups groups]:
+    the jobs of every group run as one flat {!map} batch, so workers
+    steal across group boundaries, and the results are re-chunked into
+    the groups in submission order. *)
+val map_groups : ?domains:int -> (string * 'a job list) list -> (string * 'a list) list
+
 (** A scenario: a job that receives its deterministic RNG stream and a
     worker-owned, freshly {!Sim.Engine.reset} engine. *)
 type 'a scenario = {

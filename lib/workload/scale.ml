@@ -42,17 +42,6 @@ type result = {
 let default_source =
   { Net.Source.default_params with alpha = 0.25; beta = 0.25; ss_thresh = 8. }
 
-(* Uniform lifecycle facade over the two deployment implementations
-   (Drr rides the CSFQ edge shaping with cores detached). *)
-type driver = {
-  add : Net.Flow.t -> unit;
-  end_ : int -> unit;
-  live : unit -> int;
-  sent_of : int -> int;
-  delivered_of : int -> int;
-  drops_total : unit -> int;
-}
-
 let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
     ?measure_from ?(bandwidth = Network.default_bandwidth) ?(delay = 0.002)
     ?(queue_capacity = 40) ?(max_weight = 4) ?(end_fraction = 0.) ?end_at
@@ -105,73 +94,61 @@ let run ~engine ~seed ~label ~graph:gspec ~n_flows ~scheme ?(duration = 20.)
       ~graph ~fib ~flows:pop ()
   in
   let rng = Sim.Rng.scenario ~seed ~id:(label ^ "/deploy") in
-  let driver =
-    match scheme with
-    | Corelite ->
-      let params = { Corelite.Params.default with source = source_params } in
-      let d =
-        Corelite.Deployment.build ~params ~rng ~topology:network.Network.topology
-          ~flows:[] ~core_links:network.Network.core_links ()
-      in
-      {
-        add = (fun flow -> ignore (Corelite.Deployment.add_flow d flow));
-        end_ = Corelite.Deployment.end_flow d;
-        live = (fun () -> Corelite.Deployment.live_flows d);
-        sent_of = (fun id -> Corelite.Edge.sent (Corelite.Deployment.agent d id));
-        delivered_of =
-          (fun id -> Corelite.Edge.delivered (Corelite.Deployment.agent d id));
-        drops_total = (fun () -> Corelite.Deployment.total_drops d);
-      }
-    | Csfq | Drr ->
-      let params = { Csfq.Params.default with source = source_params } in
-      let d =
-        Csfq.Deployment.build
-          ~attach_cores:(match scheme with Csfq -> true | Corelite | Drr -> false)
-          ~params ~rng ~topology:network.Network.topology ~flows:[]
-          ~core_links:network.Network.core_links ()
-      in
-      {
-        add = (fun flow -> ignore (Csfq.Deployment.add_flow d flow));
-        end_ = Csfq.Deployment.end_flow d;
-        live = (fun () -> Csfq.Deployment.live_flows d);
-        sent_of = (fun id -> Csfq.Edge.sent (Csfq.Deployment.agent d id));
-        delivered_of =
-          (fun id -> Csfq.Edge.delivered (Csfq.Deployment.agent d id));
-        drops_total = (fun () -> Csfq.Deployment.total_drops d);
-      }
-  in
   (* Streaming per-flow aggregation: three flat int arrays — delivered
      at the measurement start, and final sent/delivered captured just
      before each flow retires (agents are unreadable afterwards). *)
   let base_delivered = Array.make (n_flows + 1) 0 in
   let final_sent = Array.make (n_flows + 1) 0 in
   let final_delivered = Array.make (n_flows + 1) 0 in
-  let capture id =
-    final_sent.(id) <- driver.sent_of id;
-    final_delivered.(id) <- driver.delivered_of id
-  in
-  let t0 = Sim.Engine.now engine in
-  let events0 = Sim.Engine.executed engine in
-  List.iter driver.add network.Network.flows;
-  if n_ended > 0 then
+  (* The lifecycle run is the same for every scheme: the deployment is
+     driven through the shared signature. Returns the flows still live
+     at the end and the core-link drops. *)
+  let drive (type d) (module D : Net.Deployment.S with type t = d) (d : d) =
+    let capture id =
+      let agent = D.agent d id in
+      final_sent.(id) <- D.Edge.sent agent;
+      final_delivered.(id) <- D.Edge.delivered agent
+    in
+    let t0 = Sim.Engine.now engine in
+    List.iter (fun flow -> ignore (D.add_flow d flow)) network.Network.flows;
+    if n_ended > 0 then
+      ignore
+        (Sim.Engine.schedule_at engine ~time:(t0 +. end_at) (fun () ->
+             for id = 1 to n_ended do
+               capture id;
+               D.end_flow d id
+             done));
     ignore
-      (Sim.Engine.schedule_at engine ~time:(t0 +. end_at) (fun () ->
-           for id = 1 to n_ended do
-             capture id;
-             driver.end_ id
+      (Sim.Engine.schedule_at engine ~time:(t0 +. measure_from) (fun () ->
+           for id = n_ended + 1 to n_flows do
+             base_delivered.(id) <- D.Edge.delivered (D.agent d id)
            done));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(t0 +. measure_from) (fun () ->
-         for id = n_ended + 1 to n_flows do
-           base_delivered.(id) <- driver.delivered_of id
-         done));
-  Sim.Engine.run_until engine (t0 +. duration);
-  let live_at_end = driver.live () in
-  let drops = driver.drops_total () in
-  for id = n_ended + 1 to n_flows do
-    capture id;
-    driver.end_ id
-  done;
+    Sim.Engine.run_until engine (t0 +. duration);
+    let live_at_end = D.live_flows d in
+    let drops = D.total_drops d in
+    for id = n_ended + 1 to n_flows do
+      capture id;
+      D.end_flow d id
+    done;
+    (live_at_end, drops)
+  in
+  let topology = network.Network.topology in
+  let core_links = network.Network.core_links in
+  let events0 = Sim.Engine.executed engine in
+  let live_at_end, drops =
+    match scheme with
+    | Corelite ->
+      let params = { Corelite.Params.default with source = source_params } in
+      drive (module Corelite.Deployment)
+        (Corelite.Deployment.build ~params ~rng ~topology ~flows:[] ~core_links ())
+    | Csfq | Drr ->
+      (* Drr rides the CSFQ edge shaping with cores detached. *)
+      let params = { Csfq.Params.default with source = source_params } in
+      drive (module Csfq.Deployment)
+        (Csfq.Deployment.build
+           ~attach_cores:(match scheme with Csfq -> true | Corelite | Drr -> false)
+           ~params ~rng ~topology ~flows:[] ~core_links ())
+  in
   Sim.Metrics.set_auto_probes metrics auto_was;
   let events = Sim.Engine.executed engine - events0 in
   let window = duration -. measure_from in

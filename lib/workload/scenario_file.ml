@@ -31,10 +31,28 @@ let float_of token label =
   | Some v -> v
   | None -> fail "%s: expected a number, got %S" label token
 
+(* [float_of_string] accepts "nan" and "inf"; no scenario number may be
+   either. *)
+let finite_of token label =
+  let v = float_of token label in
+  if Float.is_finite v then v else fail "%s: expected a finite number, got %S" label token
+
+let positive_of token label =
+  let v = finite_of token label in
+  if v > 0. then v else fail "%s must be positive, got %S" label token
+
+let non_negative_of token label =
+  let v = finite_of token label in
+  if v >= 0. then v else fail "%s must not be negative, got %S" label token
+
 let int_of token label =
   match int_of_string_opt token with
   | Some v -> v
   | None -> fail "%s: expected an integer, got %S" label token
+
+let at_least lower token label =
+  let v = int_of token label in
+  if v >= lower then v else fail "%s must be at least %d, got %S" label lower token
 
 (* "key=value" option fields of the topology directive. *)
 let topology_options tokens =
@@ -45,10 +63,10 @@ let topology_options tokens =
   List.iter
     (fun token ->
       match String.split_on_char '=' token with
-      | [ "cores"; v ] -> cores := int_of v "cores"
-      | [ "bandwidth"; v ] -> bandwidth := float_of v "bandwidth"
-      | [ "delay"; v ] -> delay := float_of v "delay"
-      | [ "queue"; v ] -> queue := int_of v "queue"
+      | [ "cores"; v ] -> cores := at_least 2 v "cores"
+      | [ "bandwidth"; v ] -> bandwidth := positive_of v "bandwidth"
+      | [ "delay"; v ] -> delay := non_negative_of v "delay"
+      | [ "queue"; v ] -> queue := at_least 1 v "queue"
       | _ -> fail "unknown topology option %S" token)
     tokens;
   (!cores, !bandwidth, !delay, !queue)
@@ -63,24 +81,24 @@ let directive b tokens =
   | [ "scheme"; "plain" ] -> b.scheme <- Runner.Plain Csfq.Params.default
   | [ "scheme"; other ] -> fail "unknown scheme %S" other
   | [ "seed"; v ] -> b.seed <- int_of v "seed"
-  | [ "duration"; v ] -> b.duration <- Some (float_of v "duration")
+  | [ "duration"; v ] -> b.duration <- Some (positive_of v "duration")
   | "flow" :: id :: "weight" :: w :: "from" :: entry :: "to" :: exit :: rest ->
     let id = int_of id "flow id" in
     if List.exists (fun (existing, _, _, _) -> existing = id) b.flows then
       fail "duplicate flow %d" id;
     (match rest with
     | [] -> ()
-    | [ "floor"; f ] -> b.floors <- (id, float_of f "floor") :: b.floors
+    | [ "floor"; f ] -> b.floors <- (id, non_negative_of f "floor") :: b.floors
     | _ -> fail "unexpected tokens after flow %d" id);
     b.flows <-
-      (id, float_of w "weight", int_of entry "entry core", int_of exit "exit core")
+      (id, positive_of w "weight", int_of entry "entry core", int_of exit "exit core")
       :: b.flows
   | [ "start"; id; "at"; time ] ->
     b.schedule <-
-      (float_of time "start time", Runner.Start (int_of id "flow id")) :: b.schedule
+      (non_negative_of time "start time", Runner.Start (int_of id "flow id")) :: b.schedule
   | [ "stop"; id; "at"; time ] ->
     b.schedule <-
-      (float_of time "stop time", Runner.Stop (int_of id "flow id")) :: b.schedule
+      (non_negative_of time "stop time", Runner.Stop (int_of id "flow id")) :: b.schedule
   | keyword :: _ -> fail "unknown directive %S" keyword
 
 let parse text =
@@ -118,8 +136,7 @@ let parse text =
     in
     if b.flows = [] then fail "no flows defined";
     List.iter
-      (fun (id, weight, entry, exit) ->
-        if weight <= 0. then fail "flow %d: weight must be positive" id;
+      (fun (id, _, entry, exit) ->
         if entry < 1 || exit > cores || entry > exit then
           fail "flow %d: span %d..%d outside 1..%d" id entry exit cores)
       b.flows;

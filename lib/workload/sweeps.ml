@@ -256,28 +256,9 @@ let burst () = force (burst_jobs ())
 
 let qdisc () = force (qdisc_jobs ())
 
-let all () = List.map (fun (name, js) -> (name, force js)) (jobs ())
+let all () = Pool.run_groups (jobs ())
 
-let all_parallel ?domains () =
-  (* Flatten the whole grid into one batch so workers steal across
-     group boundaries, then re-chunk the in-order results. *)
-  let groups = jobs () in
-  let flat = List.concat_map snd groups in
-  let results = ref (Pool.map ?domains flat) in
-  List.map
-    (fun (name, js) ->
-      let k = List.length js in
-      let rec take n acc rest =
-        if n = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> invalid_arg "Sweeps.all_parallel: result count mismatch"
-          | r :: rest -> take (n - 1) (r :: acc) rest
-      in
-      let points, rest = take k [] !results in
-      results := rest;
-      (name, points))
-    groups
+let all_parallel ?domains () = Pool.map_groups ?domains (jobs ())
 
 let pp_points ppf (name, points) =
   Format.fprintf ppf "@[<v>-- sensitivity: %s@," name;

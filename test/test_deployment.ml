@@ -98,7 +98,7 @@ let test_csfq_deployment_duplicate () =
   let _, network = single_bottleneck () in
   let flow = List.hd network.Workload.Network.flows in
   Alcotest.check_raises "duplicate"
-    (Invalid_argument "Csfq.Deployment.build: duplicate flow 1") (fun () ->
+    (Invalid_argument "Deployment.build: duplicate flow 1") (fun () ->
       ignore
         (Csfq.Deployment.build ~params:Csfq.Params.default ~rng:(Sim.Rng.create 1)
            ~topology:network.Workload.Network.topology
@@ -108,61 +108,57 @@ let test_csfq_deployment_duplicate () =
 (* ------------------------------------------------------------------ *)
 (* Dynamic flow lifecycle (churn soft state) *)
 
-let test_lifecycle_add_end_expire () =
+(* One body per deployment instance: with one lifecycle implementation,
+   every scheme must pass the same checks with the same messages. *)
+let test_lifecycle (type d) (module D : Net.Deployment.S with type t = d)
+    (build : topology:Net.Topology.t -> core_links:Net.Link.t list -> d) () =
   let engine, network = single_bottleneck ~n:3 () in
   let d =
-    Corelite.Deployment.build ~params:Corelite.Params.default
-      ~rng:(Sim.Rng.create 11) ~topology:network.Workload.Network.topology
-      ~flows:[] ~core_links:network.Workload.Network.core_links ()
+    build ~topology:network.Workload.Network.topology
+      ~core_links:network.Workload.Network.core_links
   in
   let created0 = Sim.Invariant.flows_created () in
   let retired0 = Sim.Invariant.flows_retired () in
   let expired0 = Sim.Invariant.flows_expired () in
-  Alcotest.(check int) "empty table" 0 (Corelite.Deployment.live_flows d);
-  ignore (Corelite.Deployment.add_flow d (Workload.Network.flow network 1));
-  ignore (Corelite.Deployment.add_flow d (Workload.Network.flow network 2));
-  Alcotest.(check int) "two live" 2 (Corelite.Deployment.live_flows d);
-  Alcotest.(check bool) "has flow 1" true (Corelite.Deployment.has_flow d 1);
-  Alcotest.(check bool) "no flow 3" false (Corelite.Deployment.has_flow d 3);
+  Alcotest.(check int) "empty table" 0 (D.live_flows d);
+  ignore (D.add_flow d (Workload.Network.flow network 1));
+  ignore (D.add_flow d (Workload.Network.flow network 2));
+  Alcotest.(check int) "two live" 2 (D.live_flows d);
+  Alcotest.(check bool) "has flow 1" true (D.has_flow d 1);
+  Alcotest.(check bool) "no flow 3" false (D.has_flow d 3);
   Alcotest.check_raises "duplicate arrival"
     (Invalid_argument "Deployment.add_flow: duplicate flow 1") (fun () ->
-      ignore (Corelite.Deployment.add_flow d (Workload.Network.flow network 1)));
+      ignore (D.add_flow d (Workload.Network.flow network 1)));
   Sim.Engine.run_until engine 2.;
-  Corelite.Deployment.end_flow d 1;
-  Alcotest.(check bool) "flow 1 retired" false (Corelite.Deployment.has_flow d 1);
+  D.end_flow d 1;
+  Alcotest.(check bool) "flow 1 retired" false (D.has_flow d 1);
+  Alcotest.(check int) "one live" 1 (D.live_flows d);
   Alcotest.check_raises "ending a retired flow"
-    (Invalid_argument "Deployment.end_flow: unknown flow 1") (fun () ->
-      Corelite.Deployment.end_flow d 1);
+    (Invalid_argument "Deployment.end_flow: unknown flow 1") (fun () -> D.end_flow d 1);
   (* Flow 2 goes silent; advance well past its last emission and sweep. *)
-  Corelite.Deployment.stop_flow d 2;
+  D.stop_flow d 2;
   Sim.Engine.run_until engine 12.;
   Alcotest.(check int) "not yet stale under a long timeout" 0
-    (Corelite.Deployment.expire_idle d ~timeout:60.);
-  Alcotest.(check int) "flow 2 aged out" 1
-    (Corelite.Deployment.expire_idle d ~timeout:5.);
-  Alcotest.(check int) "table empty again" 0 (Corelite.Deployment.live_flows d);
+    (D.expire_idle d ~timeout:60.);
+  Alcotest.(check int) "flow 2 aged out" 1 (D.expire_idle d ~timeout:5.);
+  Alcotest.(check int) "table empty again" 0 (D.live_flows d);
+  Alcotest.(check bool) "state reclaimed" false (D.has_flow d 2);
   Alcotest.check_raises "bad timeout"
     (Invalid_argument "Deployment.expire_idle: timeout must be positive")
-    (fun () -> ignore (Corelite.Deployment.expire_idle d ~timeout:0.));
+    (fun () -> ignore (D.expire_idle d ~timeout:0.));
   (* The process-wide flow ledger saw every transition: two arrivals,
      two retirements of which one was an expiry. *)
   Alcotest.(check int) "ledger: created" 2 (Sim.Invariant.flows_created () - created0);
   Alcotest.(check int) "ledger: retired" 2 (Sim.Invariant.flows_retired () - retired0);
   Alcotest.(check int) "ledger: expired" 1 (Sim.Invariant.flows_expired () - expired0)
 
-let test_csfq_lifecycle () =
-  let engine, network = single_bottleneck ~n:2 () in
-  let d =
-    Csfq.Deployment.build ~params:Csfq.Params.default ~rng:(Sim.Rng.create 7)
-      ~topology:network.Workload.Network.topology ~flows:[]
-      ~core_links:network.Workload.Network.core_links ()
-  in
-  ignore (Csfq.Deployment.add_flow d (Workload.Network.flow network 1));
-  Alcotest.(check int) "one live" 1 (Csfq.Deployment.live_flows d);
-  Sim.Engine.run_until engine 2.;
-  Csfq.Deployment.end_flow d 1;
-  Alcotest.(check int) "empty" 0 (Csfq.Deployment.live_flows d);
-  Alcotest.(check bool) "state reclaimed" false (Csfq.Deployment.has_flow d 1)
+let corelite_lifecycle ~topology ~core_links =
+  Corelite.Deployment.build ~params:Corelite.Params.default ~rng:(Sim.Rng.create 11)
+    ~topology ~flows:[] ~core_links ()
+
+let csfq_lifecycle ?attach_cores () ~topology ~core_links =
+  Csfq.Deployment.build ?attach_cores ~params:Csfq.Params.default
+    ~rng:(Sim.Rng.create 7) ~topology ~flows:[] ~core_links ()
 
 (* ------------------------------------------------------------------ *)
 (* Runner options *)
@@ -334,8 +330,11 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "add, end, expire and the ledger" `Quick
-            test_lifecycle_add_end_expire;
-          Alcotest.test_case "csfq soft state" `Quick test_csfq_lifecycle;
+            (test_lifecycle (module Corelite.Deployment) corelite_lifecycle);
+          Alcotest.test_case "csfq soft state" `Quick
+            (test_lifecycle (module Csfq.Deployment) (csfq_lifecycle ()));
+          Alcotest.test_case "csfq without cores soft state" `Quick
+            (test_lifecycle (module Csfq.Deployment) (csfq_lifecycle ~attach_cores:false ()));
         ] );
       ( "runner_options",
         [

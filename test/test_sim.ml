@@ -108,6 +108,13 @@ let test_queue_clear_resets_and_reuses () =
 let by_key_seq (k1, s1) (k2, s2) =
   match compare k1 k2 with 0 -> compare s1 s2 | c -> c
 
+(* The same order as a set, for the interleaved properties. *)
+module Model = Set.Make (struct
+  type t = float * int
+
+  let compare = by_key_seq
+end)
+
 let prop_queue_matches_sorted_model =
   QCheck.Test.make ~name:"event_queue pops exactly the (key, seq)-sorted model"
     ~count:300
@@ -130,7 +137,8 @@ let prop_queue_length_tracks_model =
     QCheck.(list (option (int_bound 10)))
     (fun ops ->
       let q = Sim.Event_queue.create () in
-      let model = ref [] in
+      let model = ref Model.empty in
+      let size = ref 0 in  (* Model.cardinal, kept O(1) *)
       let seq = ref 0 in
       let ok = ref true in
       List.iter
@@ -140,18 +148,17 @@ let prop_queue_length_tracks_model =
             incr seq;
             let key = float_of_int k in
             Sim.Event_queue.add q ~key ~seq:!seq ();
-            model := (key, !seq) :: !model
+            model := Model.add (key, !seq) !model;
+            incr size
           | None -> (
-            let expected =
-              match List.sort by_key_seq !model with [] -> None | e :: _ -> Some e
-            in
-            match (Sim.Event_queue.pop q, expected) with
+            match (Sim.Event_queue.pop q, Model.min_elt_opt !model) with
             | None, None -> ()
             | Some (k, s, ()), Some e when (k, s) = e ->
-              model := List.filter (fun x -> x <> e) !model
+              model := Model.remove e !model;
+              decr size
             | _ -> ok := false));
-          if Sim.Event_queue.length q <> List.length !model then ok := false;
-          if Sim.Event_queue.is_empty q <> (!model = []) then ok := false)
+          if Sim.Event_queue.length q <> !size then ok := false;
+          if Sim.Event_queue.is_empty q <> Model.is_empty !model then ok := false)
         ops;
       !ok)
 
@@ -215,12 +222,6 @@ let prop_queue_unboxed_agrees_with_boxed =
    under every capacity, including after a clear. The payload is the
    entry's own seq: a slot handed to two live entries, or read after it
    was freed, shows up as a wrong payload. *)
-module Model = Set.Make (struct
-  type t = float * int
-
-  let compare = by_key_seq
-end)
-
 type queue_op = Add of int | Burst of int | Pop | Drain of int | Clear
 
 let show_queue_op = function

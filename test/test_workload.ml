@@ -452,7 +452,36 @@ start 1 at 0|};
     {|topology chain cores=2
 duration abc
 flow 1 weight 1 from 1 to 2
-start 1 at 0|}
+start 1 at 0|};
+  (* Non-finite and non-positive numbers fail on their own line. *)
+  let bad_number fragment ?(options = "") ?(duration = "1") ?(weight = "1")
+      ?(floor = "") ?(start = "0") ?(stop = "5") () =
+    expect_parse_error fragment
+      (Printf.sprintf
+         "topology chain cores=2%s\nduration %s\nflow 1 weight %s from 1 to 2%s\nstart 1 \
+          at %s\nstop 1 at %s"
+         options duration weight floor start stop)
+  in
+  bad_number "line 1: cores must be at least 2" ~options:" cores=1" ();
+  bad_number "line 1: bandwidth: expected a finite number" ~options:" bandwidth=nan" ();
+  bad_number "line 1: bandwidth must be positive" ~options:" bandwidth=0" ();
+  bad_number "line 1: delay must not be negative" ~options:" delay=-1" ();
+  bad_number "line 1: queue must be at least 1" ~options:" queue=0" ();
+  bad_number "line 3: floor: expected a finite number" ~floor:" floor nan" ();
+  bad_number "line 3: floor must not be negative" ~floor:" floor -5" ();
+  bad_number "line 3: weight: expected a finite number" ~weight:"nan" ();
+  bad_number "line 3: weight: expected a finite number" ~weight:"inf" ();
+  bad_number "line 3: weight must be positive" ~weight:"0" ();
+  bad_number "line 3: weight must be positive" ~weight:"-2" ();
+  bad_number "line 2: duration: expected a finite number" ~duration:"nan" ();
+  bad_number "line 2: duration: expected a finite number" ~duration:"inf" ();
+  bad_number "line 2: duration must be positive" ~duration:"-3" ();
+  bad_number "line 2: duration must be positive" ~duration:"0" ();
+  bad_number "line 4: start time: expected a finite number" ~start:"nan" ();
+  bad_number "line 4: start time: expected a finite number" ~start:"inf" ();
+  bad_number "line 4: start time must not be negative" ~start:"-1" ();
+  bad_number "line 5: stop time: expected a finite number" ~stop:"nan" ();
+  bad_number "line 5: stop time: expected a finite number" ~stop:"-inf" ()
 
 let scenario_gen =
   QCheck.Gen.(
